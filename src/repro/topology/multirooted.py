@@ -19,7 +19,7 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.common.errors import TopologyError
 from repro.topology.graph import NodeKind, Topology
@@ -44,6 +44,9 @@ class MultiRootedTopology(Topology):
         # per scheduling round per daemon — a hot path at scale.
         self._up_cache: Dict[str, List[str]] = {}
         self._down_cache: Dict[str, List[str]] = {}
+        # Path enumeration's views of the same adjacency.
+        self._sorted_up_cache: Dict[str, List[str]] = {}
+        self._down_set_cache: Dict[str, FrozenSet[str]] = {}
 
     # -- layer helpers -------------------------------------------------------
 
@@ -80,6 +83,18 @@ class MultiRootedTopology(Topology):
             ]
             self._down_cache[name] = cached
         return list(cached)
+
+    def _sorted_up(self, name: str) -> List[str]:
+        cached = self._sorted_up_cache.get(name)
+        if cached is None:
+            cached = self._sorted_up_cache[name] = sorted(self.up_neighbors(name))
+        return cached
+
+    def _down_set(self, name: str) -> FrozenSet[str]:
+        cached = self._down_set_cache.get(name)
+        if cached is None:
+            cached = self._down_set_cache[name] = frozenset(self.down_neighbors(name))
+        return cached
 
     def tor_of(self, host: str) -> str:
         """The ToR switch a host hangs off (hosts are single-homed)."""
@@ -154,17 +169,16 @@ class MultiRootedTopology(Topology):
     def _compute_paths(self, src_tor: str, dst_tor: str) -> List[SwitchPath]:
         if src_tor == dst_tor:
             return [(src_tor,)]
-        src_aggs = sorted(self.up_neighbors(src_tor))
+        src_aggs = self._sorted_up(src_tor)
         dst_aggs = set(self.up_neighbors(dst_tor))
         common = [a for a in src_aggs if a in dst_aggs]
         if common:
             return [(src_tor, agg, dst_tor) for agg in common]
         paths: List[SwitchPath] = []
         for agg_up in src_aggs:
-            for core in sorted(self.up_neighbors(agg_up)):
-                for agg_down in sorted(self.down_neighbors(core)):
-                    if agg_down in dst_aggs:
-                        paths.append((src_tor, agg_up, core, agg_down, dst_tor))
+            for core in self._sorted_up(agg_up):
+                for agg_down in sorted(self._down_set(core) & dst_aggs):
+                    paths.append((src_tor, agg_up, core, agg_down, dst_tor))
         if not paths:
             raise TopologyError(f"no up-down path between {src_tor!r} and {dst_tor!r}")
         return paths

@@ -1,5 +1,7 @@
 """Tests for hierarchical prefix allocation and host multi-addressing."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import AddressingError
@@ -80,6 +82,11 @@ class TestAllocationErrors:
         with pytest.raises(AddressingError):
             fattree4_addressing.owner_of(1)
 
+    def test_address_count_of_non_host(self, fattree4_addressing):
+        for name in ("agg_0_0", "ghost"):
+            with pytest.raises(AddressingError):
+                fattree4_addressing.num_addresses_per_host(name)
+
     def test_host_missing_chain(self, fattree4, fattree4_addressing):
         chain = next(iter(fattree4.downhill_chains()))
         other_tor_host = next(
@@ -147,6 +154,25 @@ class TestAutoWidening:
             HierarchicalAddressing(
                 FatTree(p=4), base=Prefix.parse("10.0.0.0/8"), bits_per_level=10
             )
+
+
+class TestConstructionScale:
+    def test_p32_construction_memory_is_bounded(self):
+        """Allocation is a closed form over position tables, so addressing
+        an 8,192-host fat-tree (2.1M addresses) allocates a few MB, not the
+        ~376 MB a table of every address takes."""
+        topo = FatTree(p=32)
+        tracemalloc.start()
+        try:
+            addressing = HierarchicalAddressing(topo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for host in topo.hosts()[::331]:
+            for chain in topo.chains_to_tor(topo.tor_of(host))[::17]:
+                addr = addressing.address_of(host, chain)
+                assert addressing.owner_of(addr) == (host, chain)
 
 
 class TestIdMapper:
